@@ -27,7 +27,7 @@ use insitu_fabric::FaultInjector;
 use insitu_net::{recv_frame, send_frame, Frame, NetMetrics, Peer, Reactor};
 use insitu_telemetry::{Json, Recorder};
 use insitu_util::bytes::Bytes;
-use insitu_util::shm::{self, MapRegion, RecordDesc, Ring, RingMem, ShmMap};
+use insitu_util::shm::{self, RecordDesc, Ring, RingMem, ShmMap};
 use std::io::Write;
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -236,8 +236,9 @@ fn reactor_pull_latencies() -> Vec<u64> {
 /// Pull round trips over the shared-memory plane: the request and the
 /// doorbell control frame ride the direct socket exactly as in a real
 /// same-host run, but the 1 KiB payload crosses a `/dev/shm` ring —
-/// the producer pushes into the segment, the consumer's reply is a
-/// zero-copy `Bytes` view borrowing the mapping.
+/// the producer pushes into the segment, and the consumer copies the
+/// record out into heap `Bytes` and releases its arena space, as the
+/// production drain does.
 fn shm_pull_latencies() -> Vec<u64> {
     let dir = shm::segment_dir();
     let path = dir.join(shm::segment_name(std::process::id(), 0xbe9c, 1, 0));
@@ -249,7 +250,7 @@ fn shm_pull_latencies() -> Vec<u64> {
     // exactly as a second process would.
     let consumer_map = ShmMap::open(&path).expect("open segment");
     let consumer_ring =
-        Arc::new(Ring::attach(RingMem::from_map(Arc::new(consumer_map))).expect("attach segment"));
+        Ring::attach(RingMem::from_map(Arc::new(consumer_map))).expect("attach segment");
 
     // The owner: a reactor that answers every request by staging the
     // payload in the ring and ringing the doorbell over the socket.
@@ -304,18 +305,11 @@ fn shm_pull_latencies() -> Vec<u64> {
             Frame::ShmDoorbell { .. } => {}
             other => panic!("consumer expected ShmDoorbell, got kind {}", other.kind()),
         }
-        let rec = consumer_ring.pop().expect("doorbell implies a record");
-        let release_ring = Arc::clone(&consumer_ring);
-        let range = rec.range;
-        let region = MapRegion::new(
-            consumer_ring.mem().clone(),
-            rec.off,
-            rec.len,
-            Some(Box::new(move || release_ring.release(range))),
-        );
-        let bytes = Bytes::from_map(Arc::new(region));
-        assert_eq!(bytes.as_slice().len(), PULL_BYTES);
-        drop(bytes);
+        // Copy out and release, exactly as the link's drain does.
+        let bytes = consumer_ring
+            .pop_with(|_, payload| Bytes::copy_from_slice(payload))
+            .expect("doorbell implies a record");
+        assert_eq!(bytes.len(), PULL_BYTES);
         lat.push(start.elapsed().as_micros() as u64);
     }
     reactor.shutdown();

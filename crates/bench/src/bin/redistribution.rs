@@ -244,10 +244,10 @@ fn row(pat: &Pattern, mode: &str, s: &RunStats, speedup: f64) -> Json {
 
 /// The distributed comparison workload: a simulation couples to an
 /// analysis over a *mirrored* process grid, so every consumer rank's
-/// query exactly covers one producer piece — the shape where the shm
-/// consumer assembles zero-copy (`FieldData::View` borrowing the
-/// mapped segment) while the loopback consumer pays a socket round
-/// trip plus copy per 512 KiB piece.
+/// query exactly covers one producer piece — the shape where a get
+/// assembles zero-copy (`FieldData::View` borrowing the registered
+/// piece). The shm consumer pays one copy out of the ring per 512 KiB
+/// piece; the loopback consumer pays a socket round trip plus copy.
 const DISTRIB_DAG: &str = "\
 APP_ID 1
 APP_ID 2
@@ -388,7 +388,7 @@ fn main() {
         assert!(shm.2 > 0, "shm run must carry frames over shared memory");
         assert!(
             shm.3 > 0,
-            "mirror-grid pulls must assemble zero-copy views of the mapping"
+            "mirror-grid pulls must assemble zero-copy views of the drained pieces"
         );
         let speedup = loopback.0.as_secs_f64() / shm.0.as_secs_f64();
         rows.push(distrib_row("loopback", &loopback, 1.0));

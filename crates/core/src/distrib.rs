@@ -624,35 +624,49 @@ mod tests {
 
     #[test]
     fn star_shm_carries_same_host_pulls_with_identical_ledger() {
-        let s = cross_node_scenario();
-        let expected = run_threaded(&s, MappingStrategy::RoundRobin);
-        assert_eq!(expected.verify_failures, 0);
+        // The second scenario keeps two versions of 67^3 f64 pieces
+        // (2.3 MiB, more than half the 4 MiB shm arena) alive on the
+        // consumer node: a ring whose space stayed pinned by retained
+        // pieces would fill and push the second version onto the wire.
+        let mut large = sequential_scenario_with_grids(
+            &[2, 2, 1],
+            &[2, 1, 1],
+            &[1, 2, 1],
+            67,
+            pattern_pairs(&[2, 2, 1])[0],
+        )
+        .with_iterations(2);
+        large.cores_per_node = 2;
+        for (label, s) in [("small", cross_node_scenario()), ("large", large)] {
+            let expected = run_threaded(&s, MappingStrategy::RoundRobin);
+            assert_eq!(expected.verify_failures, 0, "{label}");
 
-        let rec = Recorder::enabled();
-        let got = run_distributed(&s, MappingStrategy::RoundRobin, 2, &rec, false, true);
-        assert_eq!(got.verify_failures, 0);
-        assert!(got.errors.is_empty(), "{:?}", got.errors);
-        assert_eq!(
-            got.ledger, expected.ledger,
-            "shm transport must leave the merged ledger byte-identical"
-        );
-        assert_eq!(got.staged_buffers, expected.staged_buffers);
+            let rec = Recorder::enabled();
+            let got = run_distributed(&s, MappingStrategy::RoundRobin, 2, &rec, false, true);
+            assert_eq!(got.verify_failures, 0, "{label}");
+            assert!(got.errors.is_empty(), "{label}: {:?}", got.errors);
+            assert_eq!(
+                got.ledger, expected.ledger,
+                "{label}: shm transport must leave the merged ledger byte-identical"
+            );
+            assert_eq!(got.staged_buffers, expected.staged_buffers, "{label}");
 
-        // Every joiner shares this host, so with shm on (the default)
-        // the cross-node payloads ride rings and loopback carries no
-        // PullData at all.
-        let snap = rec.metrics_snapshot();
-        assert!(
-            snap.counter("net.shm_frames") > 0,
-            "same-host pulls must ride shared memory"
-        );
-        assert!(snap.counter("net.shm_bytes") > 0);
-        assert_eq!(
-            snap.counter("net.pull_frames_hub"),
-            0,
-            "no PullData may ride loopback between same-host pairs"
-        );
-        assert_eq!(snap.counter("net.shm_fallbacks"), 0);
+            // Every joiner shares this host, so with shm on (the
+            // default) the cross-node payloads ride rings and loopback
+            // carries no PullData at all.
+            let snap = rec.metrics_snapshot();
+            assert!(
+                snap.counter("net.shm_frames") > 0,
+                "{label}: same-host pulls must ride shared memory"
+            );
+            assert!(snap.counter("net.shm_bytes") > 0, "{label}");
+            assert_eq!(
+                snap.counter("net.pull_frames_hub"),
+                0,
+                "{label}: no PullData may ride loopback between same-host pairs"
+            );
+            assert_eq!(snap.counter("net.shm_fallbacks"), 0, "{label}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! plus one process per simulated node — while the layers above keep
 //! their exact in-process semantics:
 //!
-//! - [`frame`] — the length-prefixed, versioned binary codec: 31
+//! - [`frame`] — the length-prefixed, versioned binary codec: 36
 //!   message types covering registration (`Hello`/`Welcome`), task
 //!   dispatch (`Relay` + `RunWave`/`Barrier`), buffer movement
 //!   (`PutNotify`, `PullRequest`, `PullData`, `PullNack`), DHT-replica
@@ -16,12 +16,16 @@
 //!   (`Submit`/`Submitted`, `Cancel`, `Status`/`RunStatus`,
 //!   `ListRuns`/`RunList`, `RunResult`/`RunReport`, `RpcErr`), the
 //!   telemetry plane (`Telemetry`/`TelemetryAck` batch shipping,
-//!   `Watch`/`Progress` live run streaming) and the intra-host
-//!   shared-memory control frames (`ShmOffer`/`ShmAck`/`ShmDoorbell`).
-//!   Decoding rejects malformed input, never panics.
+//!   `Watch`/`Progress` live run streaming), the intra-host
+//!   shared-memory control frames (`ShmOffer`/`ShmAck`/`ShmDoorbell`)
+//!   and the standing-query push plane (`Subscribe`/`SubAck`,
+//!   `SubPush`, `SubCancel`, `SubLagged`). Decoding rejects malformed
+//!   input, never panics.
 //!   The shm control frames coordinate `insitu_util::shm` segments:
 //!   same-host pairs move `PullData` payloads through a
-//!   producer-created `/dev/shm` ring instead of the socket, zero-copy.
+//!   producer-created `/dev/shm` ring instead of the socket. The ring
+//!   stages pieces in flight only; the consumer copies each one out
+//!   into its registry as it drains the ring.
 //! - [`conn`] — counted, fault-gated frame I/O over
 //!   `std::net::TcpStream`: per-peer FIFO writer threads, retrying
 //!   connect with a hard deadline, and the `net.*` telemetry counters.

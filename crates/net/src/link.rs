@@ -43,14 +43,14 @@ use insitu_fabric::{ClientId, FaultInjector};
 use insitu_obs::{Event, EventKind, FlightRecorder, LinkClass};
 use insitu_sub::{SubId, SubSpec};
 use insitu_util::channel::{unbounded, Receiver, Sender};
-use insitu_util::shm::{self, MapRegion, PushError, RecordDesc, Ring, RingMem, ShmMap};
+use insitu_util::shm::{self, PushError, RecordDesc, Ring, RingMem, ShmMap};
 use insitu_util::Bytes;
 use std::collections::{HashMap, HashSet};
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Control frames the reader surfaces to the joiner's wave loop.
 #[derive(Clone, Debug, PartialEq)]
@@ -104,8 +104,10 @@ impl ReplyTx {
 const SHM_SLOTS: u32 = 256;
 
 /// Payload arena bytes per directed shm pair. 4 MiB keeps a handful of
-/// pairs inside a container's default 64 MiB `/dev/shm` while still
-/// moving redistribution-sized pieces without falling back.
+/// pairs inside a container's default 64 MiB `/dev/shm`. The arena only
+/// stages records in flight — the consumer copies each one out and
+/// releases it on drain — so it bounds one doorbell's worth of pieces,
+/// not everything the consumer keeps.
 const SHM_ARENA: u64 = 4 << 20;
 
 /// How long a producer spins on a full ring before degrading the
@@ -903,57 +905,71 @@ impl NetLink {
                 }
             }
         };
-        let slot = slot.lock().unwrap();
-        let (ring, segment) = match &*slot {
-            ShmOut::Tcp => return false,
-            ShmOut::Live { ring, segment, .. } => (Arc::clone(ring), *segment),
-        };
-        let wait_t0 = flight.now_us();
-        let mut waited = Duration::ZERO;
+        // Set at the first refusal: the wait is measured, not summed from
+        // requested sleeps, which the scheduler always overshoots.
+        let mut refused: Option<(u64, Instant)> = None;
         loop {
-            match ring.push(&desc, data) {
-                Ok(seq) => {
-                    if !waited.is_zero() {
-                        self.record_shm_wait(flight, &desc, requester, wait_t0, waited);
+            {
+                // Held for one attempt, never across the sleep: the ack
+                // handler takes it on the demux thread, which also runs
+                // this node's inbound drains.
+                let slot = slot.lock().unwrap();
+                let (ring, segment) = match &*slot {
+                    ShmOut::Tcp => return false,
+                    ShmOut::Live { ring, segment, .. } => (ring, *segment),
+                };
+                match ring.push(&desc, data) {
+                    Ok(seq) => {
+                        if let Some((wait_t0, since)) = refused {
+                            self.record_shm_wait(
+                                flight,
+                                &desc,
+                                requester,
+                                wait_t0,
+                                since.elapsed(),
+                            );
+                        }
+                        let t0 = flight.now_us();
+                        flight.record(
+                            Event::new(flight.next_seq(), EventKind::NetSend)
+                                .var(desc.name)
+                                .version(desc.version)
+                                .piece(desc.piece)
+                                .src(desc.owner)
+                                .dst(requester)
+                                .link(LinkClass::Shm)
+                                .bytes(data.len() as u64)
+                                .window(t0, 1),
+                        );
+                        reply.send(Frame::ShmDoorbell {
+                            src_node: self.node,
+                            dst_node: dst,
+                            segment,
+                            seq,
+                        });
+                        self.metrics.shm_frames.inc();
+                        self.metrics.shm_bytes.add(data.len() as u64);
+                        return true;
                     }
-                    let t0 = flight.now_us();
-                    flight.record(
-                        Event::new(flight.next_seq(), EventKind::NetSend)
-                            .var(desc.name)
-                            .version(desc.version)
-                            .piece(desc.piece)
-                            .src(desc.owner)
-                            .dst(requester)
-                            .link(LinkClass::Shm)
-                            .bytes(data.len() as u64)
-                            .window(t0, 1),
-                    );
-                    reply.send(Frame::ShmDoorbell {
-                        src_node: self.node,
-                        dst_node: dst,
-                        segment,
-                        seq,
-                    });
-                    self.metrics.shm_frames.inc();
-                    self.metrics.shm_bytes.add(data.len() as u64);
-                    return true;
-                }
-                Err(PushError::TooBig) => {
-                    // This payload can never fit the arena; the pair
-                    // itself stays live for smaller records.
-                    self.metrics.shm_fallbacks.inc();
-                    return false;
-                }
-                Err(PushError::SlotsFull | PushError::ArenaFull) => {
-                    if waited >= SHM_FULL_WAIT {
-                        self.record_shm_wait(flight, &desc, requester, wait_t0, waited);
+                    Err(PushError::TooBig) => {
+                        // This payload can never fit the arena; the pair
+                        // itself stays live for smaller records.
                         self.metrics.shm_fallbacks.inc();
                         return false;
                     }
-                    std::thread::sleep(Duration::from_micros(100));
-                    waited += Duration::from_micros(100);
+                    Err(PushError::SlotsFull | PushError::ArenaFull) => {
+                        let (wait_t0, since) =
+                            *refused.get_or_insert_with(|| (flight.now_us(), Instant::now()));
+                        let waited = since.elapsed();
+                        if waited >= SHM_FULL_WAIT {
+                            self.record_shm_wait(flight, &desc, requester, wait_t0, waited);
+                            self.metrics.shm_fallbacks.inc();
+                            return false;
+                        }
+                    }
                 }
             }
+            std::thread::sleep(Duration::from_micros(100));
         }
     }
 
@@ -1012,10 +1028,12 @@ impl NetLink {
     }
 
     /// Consumer side of a `ShmDoorbell`: drain every published record
-    /// from the pair's ring into the registry. The payload is *not*
-    /// copied — the registered [`Bytes`] borrows the mapping, and
-    /// dropping its last clone releases the arena range back to the
-    /// producer.
+    /// from the pair's ring into the registry. Each payload is copied
+    /// out into heap [`Bytes`] and its arena space released before the
+    /// next pop, so the ring only ever holds records in flight: a
+    /// registered view borrowing the arena would pin it until the
+    /// version is evicted, and the producer's next piece would wait for
+    /// that and fall back to the wire.
     fn shm_drain(&self, src_node: u32, dart: &Arc<DartRuntime>) {
         let ring = match self.shm.get() {
             Some(plane) => plane.inbound.lock().unwrap().get(&src_node).cloned(),
@@ -1025,52 +1043,43 @@ impl NetLink {
         // resend over the wire — the doorbell is moot.
         let Some(ring) = ring else { return };
         let flight = self.flight();
-        while let Some(rec) = ring.pop() {
+        let drain_one = |desc: &RecordDesc, payload: &[u8]| {
             let t0 = flight.now_us();
             let key = BufKey {
-                name: rec.desc.name,
-                version: rec.desc.version,
-                piece: rec.desc.piece,
+                name: desc.name,
+                version: desc.version,
+                piece: desc.piece,
             };
             {
                 let mut inflight = self.inflight.lock().unwrap();
                 inflight.remove(&key);
                 self.metrics.pulls_in_flight.set(inflight.len() as u64);
             }
-            if dart.registry().get(&key).is_none() {
-                let release_ring = Arc::clone(&ring);
-                let range = rec.range;
-                let region = MapRegion::new(
-                    ring.mem().clone(),
-                    rec.off,
-                    rec.len,
-                    Some(Box::new(move || release_ring.release(range))),
-                );
-                let bytes = rec.len as u64;
-                // Register directly, like the PullData branch: the
-                // puller's `pull` already accounted these bytes.
-                dart.registry()
-                    .register(key, rec.desc.owner, Bytes::from_map(Arc::new(region)));
-                self.metrics.shm_frames.inc();
-                self.metrics.shm_bytes.add(bytes);
-                flight.record(
-                    Event::new(flight.next_seq(), EventKind::NetRecv)
-                        .var(key.name)
-                        .version(key.version)
-                        .piece(key.piece)
-                        .src(rec.desc.owner)
-                        .dst(self.node * self.cores_per_node)
-                        .link(LinkClass::Shm)
-                        .bytes(bytes)
-                        .window(t0, flight.now_us().saturating_sub(t0).max(1)),
-                );
-            } else {
-                // A wire copy beat this record in (pull retry, or the
-                // pair degraded mid-flight); the space comes straight
-                // back.
-                ring.release(rec.range);
+            // A wire copy may have beaten this record in (pull retry, or
+            // the pair degraded mid-flight); then it is simply dropped.
+            if dart.registry().get(&key).is_some() {
+                return;
             }
-        }
+            let bytes = payload.len() as u64;
+            // Register directly, like the PullData branch: the puller's
+            // `pull` already accounted these bytes.
+            dart.registry()
+                .register(key, desc.owner, Bytes::copy_from_slice(payload));
+            self.metrics.shm_frames.inc();
+            self.metrics.shm_bytes.add(bytes);
+            flight.record(
+                Event::new(flight.next_seq(), EventKind::NetRecv)
+                    .var(key.name)
+                    .version(key.version)
+                    .piece(key.piece)
+                    .src(desc.owner)
+                    .dst(self.node * self.cores_per_node)
+                    .link(LinkClass::Shm)
+                    .bytes(bytes)
+                    .window(t0, flight.now_us().saturating_sub(t0).max(1)),
+            );
+        };
+        while ring.pop_with(drain_one).is_some() {}
     }
 
     /// Producer side of a `ShmAck`. Attached: unlink the segment name
@@ -1196,6 +1205,13 @@ impl Transport for NetLink {
     }
 
     fn request(&self, key: &BufKey) {
+        let owner_node = ((key.piece >> 32) as u32) / self.cores_per_node;
+        // A local owner's put registers the key in this very process;
+        // asking would only loop the answer back through the hub or a
+        // shm ring to ourselves.
+        if owner_node == self.node {
+            return;
+        }
         {
             let mut inflight = self.inflight.lock().unwrap();
             if !inflight.insert(*key) {
@@ -1211,7 +1227,6 @@ impl Transport for NetLink {
         };
         if self.peers.is_some() {
             // P2p: straight to the owner's node, dialing on first use.
-            let owner_node = ((key.piece >> 32) as u32) / self.cores_per_node;
             match self.ensure_peer(owner_node) {
                 Ok(token) => {
                     if let HubTx::P2p(handle, _) = &self.hub {
@@ -1233,7 +1248,7 @@ impl Transport for NetLink {
     }
 
     fn dial_peer(&self, client: ClientId) -> bool {
-        if self.peers.is_none() {
+        if self.peers.is_none() || self.hosts(client) {
             return false;
         }
         self.ensure_peer(client / self.cores_per_node).is_ok()

@@ -27,6 +27,8 @@ pub struct RunArtifacts {
 /// request frame and blocks for the single reply frame; an `RpcErr`
 /// reply becomes an `Err` with the service's message.
 pub struct RpcClient {
+    /// The service address this client connected to, named in errors.
+    addr: String,
     stream: TcpStream,
     injector: FaultInjector,
     metrics: NetMetrics,
@@ -43,6 +45,7 @@ impl RpcClient {
             .set_nodelay(true)
             .map_err(|e| format!("socket setup: {e}"))?;
         Ok(RpcClient {
+            addr: addr.to_string(),
             stream,
             injector,
             metrics,
@@ -51,11 +54,11 @@ impl RpcClient {
 
     fn call(&mut self, request: &Frame) -> Result<Frame, String> {
         send_frame(&mut self.stream, request, &self.injector, &self.metrics)
-            .map_err(|e| format!("sending request: {e}"))?;
+            .map_err(|e| format!("sending request to {}: {e}", self.addr))?;
         match recv_frame(&mut self.stream, &self.injector, &self.metrics) {
             Ok(Frame::RpcErr { message }) => Err(message),
             Ok(reply) => Ok(reply),
-            Err(e) => Err(format!("awaiting reply: {e}")),
+            Err(e) => Err(format!("awaiting reply from {}: {e}", self.addr)),
         }
     }
 

@@ -6,30 +6,19 @@
 //! HybridDART are shared zero-copy between the producer's registration
 //! and every consumer's one-sided read.
 //!
-//! A buffer can also borrow a [`crate::shm::MapRegion`] — a view into a
-//! shared-memory segment another process staged — so the intra-host
-//! data plane registers pulled pieces without ever copying them out of
-//! the producer's arena. Equality and hashing are by content in both
-//! representations, so the two kinds mix freely in maps and
-//! comparisons.
+//! Storage is always a process-local `Arc<[u8]>`, whatever plane the
+//! bytes arrived on: the intra-host shm plane copies each record out of
+//! the ring on drain. On 64-bit targets the `Arc` header is two 8-byte
+//! counters, so the payload starts 8-aligned and staged `f64` data can
+//! be reinterpreted in place (`cods`' `FieldData::View`).
 
-use crate::shm::MapRegion;
 use std::ops::Deref;
 use std::sync::Arc;
 
 /// A cheaply clonable, immutable byte buffer.
 #[derive(Clone)]
 pub struct Bytes {
-    repr: Repr,
-}
-
-#[derive(Clone)]
-enum Repr {
-    /// Process-local heap storage.
-    Heap(Arc<[u8]>),
-    /// A view into a shared memory mapping (zero-copy intra-host path).
-    /// Dropping the last clone fires the region's release callback.
-    Map(Arc<MapRegion>),
+    data: Arc<[u8]>,
 }
 
 impl Bytes {
@@ -40,55 +29,34 @@ impl Bytes {
 
     /// Buffer backed by a static byte string (copied once).
     pub fn from_static(s: &'static [u8]) -> Self {
-        Bytes {
-            repr: Repr::Heap(Arc::from(s)),
-        }
+        Self::copy_from_slice(s)
     }
 
     /// Buffer holding a copy of `s`.
     pub fn copy_from_slice(s: &[u8]) -> Self {
-        Bytes {
-            repr: Repr::Heap(Arc::from(s)),
-        }
-    }
-
-    /// Buffer borrowing a shared-memory region, without copying. The
-    /// region's release callback fires when the last clone drops.
-    pub fn from_map(region: Arc<MapRegion>) -> Self {
-        Bytes {
-            repr: Repr::Map(region),
-        }
-    }
-
-    /// Whether this buffer borrows a shared-memory mapping rather than
-    /// owning heap storage.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.repr, Repr::Map(_))
+        Bytes { data: Arc::from(s) }
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.as_slice().len()
+        self.data.len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
+        self.data.is_empty()
     }
 
     /// The bytes as a slice.
     pub fn as_slice(&self) -> &[u8] {
-        match &self.repr {
-            Repr::Heap(data) => data,
-            Repr::Map(region) => region.as_slice(),
-        }
+        &self.data
     }
 }
 
 impl Default for Bytes {
     fn default() -> Self {
         Bytes {
-            repr: Repr::Heap(Arc::from(&[][..])),
+            data: Arc::from(&[][..]),
         }
     }
 }
@@ -123,9 +91,7 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
-        Bytes {
-            repr: Repr::Heap(Arc::from(v)),
-        }
+        Bytes { data: Arc::from(v) }
     }
 }
 
@@ -143,19 +109,13 @@ impl From<String> for Bytes {
 
 impl std::fmt::Debug for Bytes {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "Bytes({} B{})",
-            self.len(),
-            if self.is_mapped() { ", mapped" } else { "" }
-        )
+        write!(f, "Bytes({} B)", self.len())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shm::RingMem;
 
     #[test]
     fn construction_and_access() {
@@ -182,43 +142,19 @@ mod tests {
             Bytes::copy_from_slice(b"abc"),
             Bytes::copy_from_slice(b"abd")
         );
-    }
-
-    /// Stage `content` through a heap-backed ring and wrap the popped
-    /// record as mapped Bytes — the exact shape the shm data plane
-    /// builds.
-    fn mapped(content: &[u8]) -> Bytes {
-        use crate::shm::{RecordDesc, Ring};
-        let mem = RingMem::heap(Ring::required_len(1, 64));
-        let ring = Ring::create(mem.clone(), 1, 64);
-        ring.push(
-            &RecordDesc {
-                name: 0,
-                version: 0,
-                piece: 0,
-                owner: 0,
-            },
-            content,
-        )
-        .unwrap();
-        let rec = ring.pop().unwrap();
-        Bytes::from_map(Arc::new(MapRegion::new(mem, rec.off, rec.len, None)))
-    }
-
-    #[test]
-    // The interior mutability clippy flags is the map's release closure,
-    // which never participates in Eq/Hash — those go by content alone.
-    #[allow(clippy::mutable_key_type)]
-    fn mapped_bytes_compare_and_hash_by_content() {
-        let m = mapped(&[7u8; 16]);
-        assert!(m.is_mapped());
-        assert_eq!(m, Bytes::copy_from_slice(&[7u8; 16]));
-        assert_ne!(m, Bytes::copy_from_slice(&[1u8; 16]));
         let mut set = std::collections::HashSet::new();
-        set.insert(m.clone());
-        assert!(set.contains(&Bytes::from(vec![7u8; 16])));
-        // Clones of a mapped buffer share the mapping.
-        let c = m.clone();
-        assert_eq!(m.as_slice().as_ptr(), c.as_slice().as_ptr());
+        set.insert(Bytes::copy_from_slice(b"abc"));
+        assert!(set.contains(&Bytes::from(b"abc".to_vec())));
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn storage_is_8_aligned_for_in_place_f64_views() {
+        for len in [0usize, 1, 8, 24, 4096] {
+            let v = Bytes::from(vec![0u8; len]);
+            let s = Bytes::copy_from_slice(&vec![0u8; len]);
+            assert_eq!(v.as_ptr() as usize % 8, 0, "from Vec, {len} B");
+            assert_eq!(s.as_ptr() as usize % 8, 0, "copied, {len} B");
+        }
     }
 }

@@ -12,14 +12,12 @@
 //!   transport falls back to TCP.
 //! - [`Ring`] — a lock-free single-producer single-consumer ring of
 //!   fixed-size record descriptors over a circular payload arena. The
-//!   producer bump-allocates 8-aligned payload space (so a consumer can
-//!   reinterpret staged `f64` data in place), publishes a descriptor,
-//!   and the consumer pops records in FIFO order. Arena space is
-//!   reclaimed when the consumer drops its payload views, in allocation
-//!   order, through the shared `released` cursor.
-//! - [`MapRegion`] — a refcounted payload view used to back
-//!   `insitu_util::Bytes` without copying; dropping the region fires a
-//!   release callback so the producer's arena space comes back.
+//!   producer bump-allocates 8-aligned payload space, publishes a
+//!   descriptor, and the consumer pops records in FIFO order and
+//!   releases them in that same order through the shared `released`
+//!   cursor. [`Ring::pop_with`] hands the payload to a callback and
+//!   releases it on return, so the arena holds only records in flight:
+//!   a consumer that keeps the data copies it out.
 //! - Segment naming, the per-host fingerprint used for same-host
 //!   detection, and the stale-segment sweep/reap helpers used by
 //!   `insitu serve` / `launch`.
@@ -33,7 +31,7 @@ use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Magic word at offset 0 of every segment ("INSITSHM" little-endian).
 pub const SEGMENT_MAGIC: u64 = 0x4d48_5354_4953_4e49;
@@ -282,8 +280,8 @@ impl RingMem {
     pub fn slice(&self, off: usize, len: usize) -> &[u8] {
         assert!(off + len <= self.len, "region slice out of bounds");
         // SAFETY: in-bounds; published payloads are immutable until the
-        // consumer releases them, which requires dropping this borrow's
-        // owner first.
+        // consumer releases them, and a reader of a record's payload
+        // releases it only after its last read.
         unsafe { std::slice::from_raw_parts(self.ptr.add(off), len) }
     }
 }
@@ -359,9 +357,6 @@ pub struct Ring {
     slots: u64,
     arena_off: usize,
     arena_len: u64,
-    /// Consumer-side out-of-order release tracking: dropped payload
-    /// ranges waiting to become the contiguous prefix of `released`.
-    pending_release: Mutex<std::collections::BTreeMap<u64, u64>>,
 }
 
 impl std::fmt::Debug for Ring {
@@ -411,7 +406,6 @@ impl Ring {
             slots: slots as u64,
             arena_len,
             mem,
-            pending_release: Mutex::new(std::collections::BTreeMap::new()),
         }
     }
 
@@ -444,11 +438,10 @@ impl Ring {
             slots,
             arena_len,
             mem,
-            pending_release: Mutex::new(std::collections::BTreeMap::new()),
         })
     }
 
-    /// The underlying region (for payload views).
+    /// The underlying region (for reading popped payloads).
     pub fn mem(&self) -> &RingMem {
         &self.mem
     }
@@ -470,10 +463,7 @@ impl Ring {
     /// Publish a record (producer side). Returns the record's sequence
     /// number.
     pub fn push(&self, desc: &RecordDesc, payload: &[u8]) -> Result<u64, PushError> {
-        // Every record consumes at least 8 bytes so allocation ranges
-        // are strictly increasing — release tracking keys on the range
-        // start.
-        let need = ((payload.len() as u64 + 7) & !7).max(8);
+        let need = (payload.len() as u64 + 7) & !7;
         if need > self.arena_len {
             return Err(PushError::TooBig);
         }
@@ -483,7 +473,7 @@ impl Ring {
             return Err(PushError::SlotsFull);
         }
         // Bump-allocate, padding past the arena end so a payload never
-        // wraps (keeps payload views contiguous and 8-aligned).
+        // wraps (keeps every payload contiguous and 8-aligned).
         let alloc = self.mem.read_u64(OFF_ALLOC);
         let at = alloc % self.arena_len;
         let start = if at + need <= self.arena_len {
@@ -529,7 +519,7 @@ impl Ring {
     }
 
     /// Consume the next record (consumer side). `None` when empty. The
-    /// caller must eventually [`Ring::release`] the record's range.
+    /// caller must [`Ring::release`] popped records in pop order.
     pub fn pop(&self) -> Option<Record> {
         let tail = self.mem.read_u64(OFF_TAIL);
         let head = self.mem.atomic(OFF_HEAD).load(Ordering::Acquire);
@@ -541,6 +531,18 @@ impl Ring {
         Some(rec)
     }
 
+    /// Consume the next record (consumer side): hand its descriptor and
+    /// payload to `f`, then release its arena space before returning
+    /// `f`'s result. `None` when empty. Every record popped earlier must
+    /// already be released. The payload borrow cannot outlive `f`, so
+    /// the producer waits at most for the consumer's next drain.
+    pub fn pop_with<T>(&self, f: impl FnOnce(&RecordDesc, &[u8]) -> T) -> Option<T> {
+        let rec = self.pop()?;
+        let out = f(&rec.desc, self.mem.slice(rec.off, rec.len));
+        self.release(rec.range);
+        Some(out)
+    }
+
     /// Records published but not yet consumed (producer side, used to
     /// resend over the wire when the consumer never attached). The
     /// consumer must not be running while this is read.
@@ -550,23 +552,23 @@ impl Ring {
         (tail..head).map(|seq| self.read_record(seq)).collect()
     }
 
-    /// Return a consumed record's arena range (consumer side). Ranges
-    /// may be released out of order; the shared `released` cursor only
-    /// advances over the contiguous prefix, exactly like the allocator
-    /// hands ranges out.
+    /// Return a consumed record's arena range (consumer side). Records
+    /// are released in pop order, so this only advances the shared
+    /// `released` cursor to the end of the range.
+    ///
+    /// # Panics
+    /// Panics when an earlier popped record is still unreleased: moving
+    /// the cursor past it would let the producer overwrite a payload
+    /// the consumer may still be reading.
     pub fn release(&self, range: (u64, u64)) {
-        let mut pending = self.pending_release.lock().unwrap();
-        pending.insert(range.0, range.1);
-        let released = self.mem.read_u64(OFF_RELEASED);
-        let mut cursor = released;
-        while let Some(end) = pending.remove(&cursor) {
-            cursor = end;
-        }
-        if cursor != released {
-            self.mem
-                .atomic(OFF_RELEASED)
-                .store(cursor, Ordering::Release);
-        }
+        assert_eq!(
+            range.0,
+            self.mem.read_u64(OFF_RELEASED),
+            "records must be released in pop order"
+        );
+        self.mem
+            .atomic(OFF_RELEASED)
+            .store(range.1, Ordering::Release);
     }
 
     /// Arena bytes currently allocated and not yet released.
@@ -578,52 +580,6 @@ impl Ring {
     pub fn is_drained(&self) -> bool {
         self.mem.atomic(OFF_TAIL).load(Ordering::Acquire)
             == self.mem.atomic(OFF_HEAD).load(Ordering::Acquire)
-    }
-}
-
-/// A refcounted payload view inside a mapped (or heap) region, used to
-/// back `insitu_util::Bytes` without copying. Dropping the region fires
-/// its release callback — the consumer side uses that to return arena
-/// space to the producer.
-pub struct MapRegion {
-    mem: RingMem,
-    off: usize,
-    len: usize,
-    on_drop: Mutex<Option<Box<dyn FnOnce() + Send>>>,
-}
-
-impl MapRegion {
-    /// View `len` bytes at `off` in `mem`, firing `on_drop` when the
-    /// last clone of the owning `Arc` goes away.
-    ///
-    /// # Panics
-    /// Panics when the range is out of bounds.
-    pub fn new(
-        mem: RingMem,
-        off: usize,
-        len: usize,
-        on_drop: Option<Box<dyn FnOnce() + Send>>,
-    ) -> MapRegion {
-        assert!(off + len <= mem.len(), "map region out of bounds");
-        MapRegion {
-            mem,
-            off,
-            len,
-            on_drop: Mutex::new(on_drop),
-        }
-    }
-
-    /// The viewed bytes.
-    pub fn as_slice(&self) -> &[u8] {
-        self.mem.slice(self.off, self.len)
-    }
-}
-
-impl Drop for MapRegion {
-    fn drop(&mut self) {
-        if let Some(f) = self.on_drop.lock().unwrap().take() {
-            f();
-        }
     }
 }
 
@@ -789,7 +745,7 @@ mod tests {
     }
 
     #[test]
-    fn out_of_order_release_advances_only_contiguously() {
+    fn in_order_release_advances_record_by_record() {
         let ring = heap_ring(8, 64);
         ring.push(&desc(1), &payload(1, 16)).unwrap();
         ring.push(&desc(2), &payload(2, 16)).unwrap();
@@ -797,12 +753,43 @@ mod tests {
         let a = ring.pop().unwrap();
         let b = ring.pop().unwrap();
         let c = ring.pop().unwrap();
-        ring.release(c.range);
-        ring.release(b.range);
-        // a still holds the prefix: nothing is reusable yet.
         assert_eq!(ring.in_use(), 48);
         ring.release(a.range);
+        assert_eq!(ring.in_use(), 32);
+        ring.release(b.range);
+        ring.release(c.range);
         assert_eq!(ring.in_use(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "released in pop order")]
+    fn release_out_of_pop_order_panics() {
+        let ring = heap_ring(8, 64);
+        ring.push(&desc(1), &payload(1, 16)).unwrap();
+        ring.push(&desc(2), &payload(2, 16)).unwrap();
+        let _a = ring.pop().unwrap();
+        let b = ring.pop().unwrap();
+        ring.release(b.range);
+    }
+
+    #[test]
+    fn pop_with_releases_once_the_callback_returns() {
+        let ring = heap_ring(4, 32);
+        // 24 B in a 32 B arena: each push needs the previous record's
+        // space back, so this only passes if pop_with releases it.
+        for round in 0..10u64 {
+            ring.push(&desc(round), &payload(round, 24)).unwrap();
+            let got = ring
+                .pop_with(|d, data| {
+                    // Wrap padding counts too, so at least the payload.
+                    assert!(ring.in_use() >= 24, "space held during the callback");
+                    (*d, data.to_vec())
+                })
+                .unwrap();
+            assert_eq!(got, (desc(round), payload(round, 24)));
+            assert_eq!(ring.in_use(), 0);
+        }
+        assert!(ring.pop_with(|_, _| ()).is_none());
     }
 
     #[test]
@@ -836,28 +823,28 @@ mod tests {
         assert_eq!(producer.in_use(), 0);
     }
 
-    /// The satellite property test: arbitrary push/pop/release
-    /// interleavings against a FIFO model, exercising wrap-around,
-    /// slots-full and arena-full.
+    /// Arbitrary push/pop/release interleavings against a FIFO model,
+    /// exercising wrap-around, slots-full and arena-full. Releases come
+    /// in pop order, either explicitly or through `pop_with`.
     #[test]
     fn ring_matches_fifo_model_under_arbitrary_interleavings() {
         forall(64, |rng| {
             let slots = rng.range_u32(1, 6);
             let arena = rng.range_u64(1, 16) * 8;
             let ring = heap_ring(slots, arena);
-            // Model: queue of (tag, len); plus the set of popped but
-            // unreleased records.
+            // Model: queue of (tag, len); plus the popped but unreleased
+            // records, oldest first.
             let mut queued: VecDeque<(u64, usize)> = VecDeque::new();
-            let mut unreleased: Vec<Record> = Vec::new();
+            let mut unreleased: VecDeque<Record> = VecDeque::new();
             let mut next_tag = 0u64;
             // Shadow allocation cursor, mirroring the producer's
             // bump-with-wrap-padding arithmetic.
             let mut model_alloc = 0u64;
             for _ in 0..200 {
-                match rng.range_u32(0, 3) {
+                match rng.range_u32(0, 4) {
                     0 => {
                         let len = rng.range_usize(0, arena as usize + 9);
-                        let need = ((len as u64 + 7) & !7).max(8);
+                        let need = (len as u64 + 7) & !7;
                         let at = model_alloc % arena;
                         let start = if at + need <= arena {
                             model_alloc
@@ -900,16 +887,14 @@ mod tests {
                                 "payload intact at pop"
                             );
                             assert_eq!(rec.off % 8, 0, "payloads stay 8-aligned");
-                            unreleased.push(rec);
+                            unreleased.push_back(rec);
                         }
                         (got, want) => {
                             panic!("ring/model disagree on emptiness: {got:?} vs {want:?}")
                         }
                     },
-                    _ => {
-                        if !unreleased.is_empty() {
-                            let i = rng.range_usize(0, unreleased.len());
-                            let rec = unreleased.swap_remove(i);
+                    2 => {
+                        if let Some(rec) = unreleased.pop_front() {
                             // Payload must still be intact right up to
                             // its release.
                             assert_eq!(
@@ -920,6 +905,17 @@ mod tests {
                             ring.release(rec.range);
                         }
                     }
+                    _ => {
+                        // pop_with releases its own record, so it may
+                        // only run once every earlier pop is released.
+                        if unreleased.is_empty() {
+                            let got = ring.pop_with(|d, data| (*d, data.to_vec()));
+                            let want = queued
+                                .pop_front()
+                                .map(|(tag, len)| (desc(tag), payload(tag, len)));
+                            assert_eq!(got, want, "pop_with follows FIFO order");
+                        }
+                    }
                 }
             }
             // Drain: everything still queued pops in order, and after
@@ -928,7 +924,7 @@ mod tests {
                 let rec = ring.pop().expect("model says non-empty");
                 assert_eq!(rec.desc, desc(tag));
                 assert_eq!(ring.mem().slice(rec.off, rec.len), &payload(tag, len)[..]);
-                unreleased.push(rec);
+                unreleased.push_back(rec);
             }
             assert!(ring.pop().is_none());
             for rec in unreleased.drain(..) {
@@ -952,26 +948,6 @@ mod tests {
             ring.mem().slice(rest[0].off, rest[0].len),
             &payload(2, 16)[..]
         );
-    }
-
-    #[test]
-    fn map_region_fires_release_on_last_drop() {
-        let ring = Arc::new(heap_ring(4, 64));
-        ring.push(&desc(5), &payload(5, 16)).unwrap();
-        let rec = ring.pop().unwrap();
-        let r2 = Arc::clone(&ring);
-        let region = Arc::new(MapRegion::new(
-            ring.mem().clone(),
-            rec.off,
-            rec.len,
-            Some(Box::new(move || r2.release(rec.range))),
-        ));
-        assert_eq!(region.as_slice(), &payload(5, 16)[..]);
-        let clone = Arc::clone(&region);
-        drop(region);
-        assert_eq!(ring.in_use(), 16, "space held while a view lives");
-        drop(clone);
-        assert_eq!(ring.in_use(), 0, "last drop releases the range");
     }
 
     #[cfg(unix)]

@@ -93,6 +93,20 @@ insitu launch workflows/distrib.dag --config workflows/distrib.cfg \
 grep -q "byte-identical to the single-process run" target/launch-shm-report.txt
 grep -Eq "^shm: +[1-9][0-9]* shared-memory frame event\(s\), 0 PullData through the hub, 0 fallback\(s\)" \
     target/launch-shm-report.txt
+# The same plane at pieces that fill the ring: scaled to DOMAIN 128^3,
+# every producer piece is 4 MiB (the whole shm arena), and the
+# sequential consumer keeps each version registered until its bundle
+# runs. The consumer copies records out as it drains the ring, so the
+# arena only ever holds pieces in flight and no piece may fall back to
+# the socket or cross the hub.
+echo "==> distributed loopback smoke, shared-memory data plane at 4 MiB pieces"
+sed -e 's/^DOMAIN .*/DOMAIN 128 128 128/' -e 's/^ITERATIONS .*/ITERATIONS 4/' \
+    workflows/distrib.cfg > target/distrib-large.cfg
+insitu launch workflows/distrib.dag --config target/distrib-large.cfg \
+    --procs 3 | tee target/launch-shm-large-report.txt
+grep -q "byte-identical to the single-process run" target/launch-shm-large-report.txt
+grep -Eq "^shm: +[1-9][0-9]* shared-memory frame event\(s\), 0 PullData through the hub, 0 fallback\(s\)" \
+    target/launch-shm-large-report.txt
 echo "==> distributed loopback smoke, shared memory disabled (--no-shm)"
 insitu launch workflows/distrib.dag --config workflows/distrib.cfg \
     --procs 3 --strategy round-robin --no-shm | tee target/launch-no-shm-report.txt

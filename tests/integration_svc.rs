@@ -115,7 +115,7 @@ fn service_executes_concurrent_mixed_submissions_with_identical_ledgers() {
     let _ = std::fs::remove_dir_all(&artifacts);
     std::fs::create_dir_all(&artifacts).unwrap();
     let expected = baseline_ledger();
-    let (_guard, addr) = start_service(&artifacts);
+    let (guard, addr) = start_service(&artifacts);
 
     let dag = std::fs::read_to_string(workflow_path("distrib.dag")).unwrap();
     let config = std::fs::read_to_string(workflow_path("distrib.cfg")).unwrap();
@@ -235,6 +235,12 @@ fn service_executes_concurrent_mixed_submissions_with_identical_ledgers() {
         listing.contains("plain-0") && listing.contains("toml-1"),
         "{listing}"
     );
+
+    // Once the service is gone, a call on the open connection fails and
+    // names the service it was talking to.
+    drop(guard);
+    let err = rpc.status(after).unwrap_err();
+    assert!(err.contains(&addr), "{err}");
 
     let _ = std::fs::remove_dir_all(&artifacts);
 }
