@@ -780,8 +780,9 @@ impl CodsSpace {
     /// Fan a freshly put piece out to every matching standing query.
     ///
     /// This runs synchronously inside `put`, before the transport split:
-    /// a subscriber hosted in this process gets the fragment offered
-    /// straight into its sink, anything else goes through the mirror.
+    /// a subscriber hosted in this process gets the overlap copied
+    /// straight from the piece into its sink; anything else is cut out
+    /// into a fragment that goes through the mirror.
     /// The chaos `sub-push` site is consulted here — on the shared path —
     /// so an injected drop replays identically whether or not the
     /// subscriber sits behind the wire.
@@ -811,9 +812,7 @@ impl CodsSpace {
                 self.sub_push_drops.inc();
                 continue;
             }
-            let mut frag = vec![0.0; overlap.num_cells() as usize];
-            copy_region(data, bbox, &mut frag, &overlap, &overlap);
-            let frag_bytes = frag.len() as u64 * ELEM_BYTES as u64;
+            let frag_bytes = overlap.num_cells() as u64 * ELEM_BYTES as u64;
             entry
                 .pushes
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -847,10 +846,12 @@ impl CodsSpace {
             }
             match entry.sink() {
                 Some(sink) => {
-                    sink.offer(version, &overlap, &frag);
+                    sink.offer_from(version, data, bbox, &overlap);
                 }
                 None => {
                     if let Some(m) = &self.mirror {
+                        let mut frag = vec![0.0; overlap.num_cells() as usize];
+                        copy_region(data, bbox, &mut frag, &overlap, &overlap);
                         m.sub_push(
                             entry.id,
                             vid,

@@ -42,7 +42,10 @@ use insitu_cods::SpaceMirror;
 use insitu_dart::Transport;
 use insitu_fabric::{FaultInjector, LedgerSnapshot, TrafficClass};
 use insitu_net::conn::{recv_frame, send_frame};
-use insitu_net::{connect_with_retry, Ctl, Frame, Hub, HubConfig, NetLink, NetMetrics, NodeReport};
+use insitu_net::{
+    connect_with_retry, unexpected_reply, Ctl, Frame, Hub, HubConfig, NetLink, NetMetrics,
+    NodeReport,
+};
 use insitu_obs::{FlightRecorder, ProcessTrace};
 use insitu_telemetry::Recorder;
 use insitu_workflow::ClientRegistry;
@@ -399,12 +402,7 @@ where
                 peers,
                 hosts,
             ),
-            Ok(other) => {
-                return Err(format!(
-                    "expected Welcome from {addr}, got frame kind {}",
-                    other.kind()
-                ))
-            }
+            Ok(other) => return Err(unexpected_reply("Welcome", addr, &other)),
             Err(e) => return Err(format!("no Welcome from {addr} within deadline: {e}")),
         };
     stream

@@ -21,7 +21,7 @@ use insitu_cods::{
 };
 use insitu_dart::{DartRuntime, Transport};
 use insitu_domain::stencil::halo_exchanges;
-use insitu_domain::{layout, BoundingBox};
+use insitu_domain::{BoundingBox, Pt};
 use insitu_fabric::{ClientId, Placement, TrafficClass, TransferLedger};
 use insitu_sfc::HilbertCurve;
 use insitu_sub::{SubSpec, TakeResult};
@@ -75,12 +75,92 @@ pub(crate) fn wave_tasks(
 
 /// The deterministic synthetic field: every `(variable, version, point)`
 /// has one correct value, so consumers can verify redistribution exactly.
+///
+/// The value is a hash folded over the coordinates in order, so it splits
+/// into a row seed over all coordinates but the last and one hash step
+/// for the last. [`field_fill`] and [`field_mismatches`] use that split
+/// to pay one hash step per cell.
 pub fn field_value(var: u64, version: u64, p: &[u64]) -> f64 {
-    let mut h = var ^ version.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    for &c in p {
-        h = (h ^ c.wrapping_add(0x5851_F42D)).wrapping_mul(0x1000_0000_01b3);
+    let (&last, lead) = p.split_last().expect("a point has at least one coordinate");
+    cell_value(row_seed(var, version, lead), last)
+}
+
+/// One step of the field hash: fold coordinate `c` into state `h`.
+#[inline]
+fn mix(h: u64, c: u64) -> u64 {
+    (h ^ c.wrapping_add(0x5851_F42D)).wrapping_mul(0x1000_0000_01b3)
+}
+
+/// The field hash state after the leading coordinates `lead`: shared by
+/// every cell of one row along the last axis.
+#[inline]
+fn row_seed(var: u64, version: u64, lead: &[u64]) -> u64 {
+    lead.iter().fold(
+        var ^ version.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        |h, &c| mix(h, c),
+    )
+}
+
+/// The field value of the cell at last-axis coordinate `c` of the row
+/// whose [`row_seed`] is `seed`.
+#[inline]
+fn cell_value(seed: u64, c: u64) -> f64 {
+    (mix(seed, c) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// The leading coordinates of every row of `piece` (all axes but the
+/// last), in the order the rows sit in its dense row-major array.
+fn row_starts(piece: &BoundingBox) -> impl Iterator<Item = Pt> + '_ {
+    let last = piece.ndim() - 1;
+    let lower = piece.lower();
+    let mut cur = Some(lower);
+    std::iter::from_fn(move || {
+        let row = cur?;
+        cur = (0..last).rev().find(|&d| row[d] < piece.ub(d)).map(|d| {
+            let mut next = row;
+            next[d] += 1;
+            next[d + 1..last].copy_from_slice(&lower[d + 1..last]);
+            next
+        });
+        Some(row)
+    })
+}
+
+/// The dense row-major array of `piece` holding the field of
+/// `(var, version)`: bit-identical to [`field_value`] at every cell.
+pub fn field_fill(var: u64, version: u64, piece: &BoundingBox) -> Vec<f64> {
+    let last = piece.ndim() - 1;
+    let mut out = Vec::with_capacity(piece.num_cells() as usize);
+    for row in row_starts(piece) {
+        let seed = row_seed(var, version, &row[..last]);
+        out.extend((piece.lb(last)..piece.ub(last) + 1).map(|c| cell_value(seed, c)));
     }
-    (h >> 11) as f64 / (1u64 << 53) as f64
+    out
+}
+
+/// The exact number of cells of `data`, the dense row-major array of
+/// `piece`, that differ from the field of `(var, version)`.
+///
+/// # Panics
+/// Panics if `data` does not hold exactly one value per cell of `piece`.
+pub fn field_mismatches(var: u64, version: u64, piece: &BoundingBox, data: &[f64]) -> u64 {
+    assert_eq!(
+        data.len() as u128,
+        piece.num_cells(),
+        "data length mismatch"
+    );
+    let last = piece.ndim() - 1;
+    let row_len = piece.extent(last) as usize;
+    row_starts(piece)
+        .zip(data.chunks_exact(row_len))
+        .map(|(row, got)| {
+            let seed = row_seed(var, version, &row[..last]);
+            got.iter()
+                .zip(piece.lb(last)..)
+                .filter(|&(&v, c)| v != cell_value(seed, c))
+                .count() as u64
+        })
+        .sum()
 }
 
 pub(crate) fn curve_for(domain: &BoundingBox) -> HilbertCurve {
@@ -390,8 +470,7 @@ fn task_routine(ctx: TaskCtx) {
         let pieces = dec.rank_region(ctx.rank);
         for version in 0..ctx.scenario.iterations {
             for (pi, piece) in pieces.iter().enumerate() {
-                let data =
-                    layout::fill_with(piece, |p| field_value(vid, version, &p[..piece.ndim()]));
+                let data = field_fill(vid, version, piece);
                 let res = if coupling.concurrent {
                     ctx.space.put_cont(
                         client,
@@ -479,13 +558,7 @@ fn task_routine(ctx: TaskCtx) {
                     }
                 };
                 // Verify every retrieved cell against the field function.
-                let mut bad = 0u64;
-                for p in piece.iter_points() {
-                    let got = data[layout::linear_index(piece, &p[..piece.ndim()])];
-                    if got != field_value(vid, version, &p[..piece.ndim()]) {
-                        bad += 1;
-                    }
-                }
+                let bad = field_mismatches(vid, version, piece, &data);
                 if bad > 0 {
                     ctx.failures.fetch_add(bad, Ordering::Relaxed);
                 }
@@ -551,13 +624,7 @@ fn task_routine(ctx: TaskCtx) {
                     ctx.failures.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            let mut bad = 0u64;
-            for p in piece.iter_points() {
-                let got = data[layout::linear_index(&piece, &p[..piece.ndim()])];
-                if got != field_value(vid, version, &p[..piece.ndim()]) {
-                    bad += 1;
-                }
-            }
+            let bad = field_mismatches(vid, version, &piece, &data);
             if bad > 0 {
                 ctx.failures.fetch_add(bad, Ordering::Relaxed);
             }

@@ -1,8 +1,10 @@
-//! Property tests over the mapping pipeline and scenario builders.
+//! Property tests over the mapping pipeline, the scenario builders and
+//! the synthetic field kernels.
 
+use insitu::domain::{layout, BoundingBox};
 use insitu::{
-    aligned_grid, balanced_grid, concurrent_scenario, map_scenario, pattern_pairs,
-    sequential_scenario, MappingStrategy,
+    aligned_grid, balanced_grid, concurrent_scenario, field_fill, field_mismatches, field_value,
+    map_scenario, pattern_pairs, sequential_scenario, MappingStrategy,
 };
 use insitu_util::check::forall;
 use insitu_util::SplitMix64;
@@ -118,6 +120,75 @@ fn data_centric_never_loses_to_baseline_on_matched_patterns() {
         assert!(
             dc.ledger.network_bytes(TrafficClass::InterApp)
                 <= rr.ledger.network_bytes(TrafficClass::InterApp)
+        );
+    });
+}
+
+/// A random 1-D, 2-D or 3-D box: non-zero origins, and each axis of
+/// extent 1 a quarter of the time (so single-cell rows come up often).
+fn arb_piece(rng: &mut SplitMix64) -> BoundingBox {
+    let ndim = rng.range_usize(1, 4);
+    let mut lb = [0u64; 3];
+    let mut ub = [0u64; 3];
+    for d in 0..ndim {
+        lb[d] = rng.range_u64(0, 1 << 20);
+        let extent = if rng.range_u32(0, 4) == 0 {
+            1
+        } else {
+            rng.range_u64(1, 12)
+        };
+        ub[d] = lb[d] + extent - 1;
+    }
+    BoundingBox::new(&lb[..ndim], &ub[..ndim])
+}
+
+#[test]
+fn field_fill_matches_per_point_field_value_bit_for_bit() {
+    forall(200, |rng| {
+        let piece = arb_piece(rng);
+        let (var, version) = (rng.next_u64(), rng.range_u64(0, 64));
+        let expect = layout::fill_with(&piece, |p| field_value(var, version, p));
+        let got = field_fill(var, version, &piece);
+        assert_eq!(got.len(), expect.len(), "{piece:?}");
+        for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
+            assert_eq!(g.to_bits(), e.to_bits(), "cell {i} of {piece:?}");
+        }
+        assert_eq!(field_mismatches(var, version, &piece, &got), 0);
+    });
+}
+
+#[test]
+fn field_mismatches_counts_exactly_the_corrupted_cells() {
+    forall(200, |rng| {
+        let piece = arb_piece(rng);
+        let (var, version) = (rng.next_u64(), rng.range_u64(0, 64));
+        let mut data = field_fill(var, version, &piece);
+        let k = rng.range_usize(0, data.len() + 1);
+        // Corrupt k distinct cells: a partial Fisher-Yates draw.
+        let mut cells: Vec<usize> = (0..data.len()).collect();
+        for i in 0..k {
+            let j = rng.range_usize(i, cells.len());
+            cells.swap(i, j);
+            let c = cells[i];
+            data[c] = f64::from_bits(data[c].to_bits() ^ (1 << rng.range_u32(0, 52)));
+        }
+        assert_eq!(
+            field_mismatches(var, version, &piece, &data),
+            k as u64,
+            "{piece:?}"
+        );
+    });
+}
+
+#[test]
+fn field_mismatches_flags_a_wrong_version() {
+    forall(200, |rng| {
+        let piece = arb_piece(rng);
+        let (var, version) = (rng.next_u64(), rng.range_u64(0, 64));
+        let data = field_fill(var, version, &piece);
+        assert!(
+            field_mismatches(var, version + 1, &piece, &data) > 0,
+            "{piece:?}"
         );
     });
 }

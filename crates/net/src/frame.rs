@@ -755,18 +755,41 @@ impl Frame {
         }
     }
 
+    /// Bytes of the frame's bulk payload (zero for control frames).
+    fn bulk_len(&self) -> usize {
+        match self {
+            Frame::Relay { payload: bulk, .. }
+            | Frame::PullData { data: bulk, .. }
+            | Frame::SubPush { data: bulk, .. } => bulk.len(),
+            _ => 0,
+        }
+    }
+
     /// Encode to a complete wire frame (length word included).
     pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::new();
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the complete wire frame to `p`. The buffer grows once to
+    /// fit the bulk payload, the length word is written as a placeholder
+    /// and patched at the end, so the payload is copied exactly once.
+    pub fn encode_into(&self, p: &mut Vec<u8>) {
+        let start = p.len();
+        p.reserve(64 + self.bulk_len());
+        p.extend_from_slice(&[0; 4]);
+        p.push(WIRE_VERSION);
+        p.push(self.kind());
         match self {
             Frame::Hello {
                 node,
                 peer_addr,
                 host,
             } => {
-                put_u32(&mut p, *node);
-                put_str(&mut p, peer_addr);
-                put_str(&mut p, host);
+                put_u32(p, *node);
+                put_str(p, peer_addr);
+                put_str(p, host);
             }
             Frame::Welcome {
                 nodes,
@@ -778,14 +801,14 @@ impl Frame {
                 peers,
                 hosts,
             } => {
-                put_u32(&mut p, *nodes);
-                put_str(&mut p, strategy);
-                put_u64(&mut p, *get_timeout_ms);
-                put_str(&mut p, dag);
-                put_str(&mut p, config);
-                put_u64(&mut p, *run_epoch);
-                put_strs(&mut p, peers);
-                put_strs(&mut p, hosts);
+                put_u32(p, *nodes);
+                put_str(p, strategy);
+                put_u64(p, *get_timeout_ms);
+                put_str(p, dag);
+                put_str(p, config);
+                put_u64(p, *run_epoch);
+                put_strs(p, peers);
+                put_strs(p, hosts);
             }
             Frame::Relay {
                 to,
@@ -793,10 +816,10 @@ impl Frame {
                 tag,
                 payload,
             } => {
-                put_u32(&mut p, *to);
-                put_u32(&mut p, *src);
-                put_u64(&mut p, *tag);
-                put_bytes(&mut p, payload);
+                put_u32(p, *to);
+                put_u32(p, *src);
+                put_u64(p, *tag);
+                put_bytes(p, payload);
             }
             Frame::PutNotify {
                 name,
@@ -805,11 +828,11 @@ impl Frame {
                 owner,
                 bytes,
             } => {
-                put_u64(&mut p, *name);
-                put_u64(&mut p, *version);
-                put_u64(&mut p, *piece);
-                put_u32(&mut p, *owner);
-                put_u64(&mut p, *bytes);
+                put_u64(p, *name);
+                put_u64(p, *version);
+                put_u64(p, *piece);
+                put_u32(p, *owner);
+                put_u64(p, *bytes);
             }
             Frame::PullRequest {
                 name,
@@ -817,10 +840,10 @@ impl Frame {
                 piece,
                 from_node,
             } => {
-                put_u64(&mut p, *name);
-                put_u64(&mut p, *version);
-                put_u64(&mut p, *piece);
-                put_u32(&mut p, *from_node);
+                put_u64(p, *name);
+                put_u64(p, *version);
+                put_u64(p, *piece);
+                put_u32(p, *from_node);
             }
             Frame::PullData {
                 name,
@@ -830,12 +853,12 @@ impl Frame {
                 to_node,
                 data,
             } => {
-                put_u64(&mut p, *name);
-                put_u64(&mut p, *version);
-                put_u64(&mut p, *piece);
-                put_u32(&mut p, *owner);
-                put_u32(&mut p, *to_node);
-                put_bytes(&mut p, data);
+                put_u64(p, *name);
+                put_u64(p, *version);
+                put_u64(p, *piece);
+                put_u32(p, *owner);
+                put_u32(p, *to_node);
+                put_bytes(p, data);
             }
             Frame::PullNack {
                 name,
@@ -843,10 +866,10 @@ impl Frame {
                 piece,
                 to_node,
             } => {
-                put_u64(&mut p, *name);
-                put_u64(&mut p, *version);
-                put_u64(&mut p, *piece);
-                put_u32(&mut p, *to_node);
+                put_u64(p, *name);
+                put_u64(p, *version);
+                put_u64(p, *piece);
+                put_u32(p, *to_node);
             }
             Frame::DhtInsert {
                 var,
@@ -856,49 +879,49 @@ impl Frame {
                 lbs,
                 ubs,
             } => {
-                put_u64(&mut p, *var);
-                put_u64(&mut p, *version);
-                put_u32(&mut p, *owner);
-                put_u64(&mut p, *piece);
-                put_u64s(&mut p, lbs);
-                put_u64s(&mut p, ubs);
+                put_u64(p, *var);
+                put_u64(p, *version);
+                put_u32(p, *owner);
+                put_u64(p, *piece);
+                put_u64s(p, lbs);
+                put_u64s(p, ubs);
             }
             Frame::GetDone { var, version } | Frame::Evict { var, version } => {
-                put_u64(&mut p, *var);
-                put_u64(&mut p, *version);
+                put_u64(p, *var);
+                put_u64(p, *version);
             }
-            Frame::RunWave { wave } => put_u32(&mut p, *wave),
+            Frame::RunWave { wave } => put_u32(p, *wave),
             Frame::Barrier { wave, node } => {
-                put_u32(&mut p, *wave);
-                put_u32(&mut p, *node);
+                put_u32(p, *wave);
+                put_u32(p, *node);
             }
             Frame::Report(r) => {
-                put_u32(&mut p, r.node);
+                put_u32(p, r.node);
                 for cell in r.ledger.shm_cells() {
-                    put_u64(&mut p, cell);
+                    put_u64(p, cell);
                 }
                 for cell in r.ledger.net_cells() {
-                    put_u64(&mut p, cell);
+                    put_u64(p, cell);
                 }
                 let entries: Vec<_> = r.ledger.per_app().collect();
-                put_u32(&mut p, entries.len() as u32);
+                put_u32(p, entries.len() as u32);
                 for (app, class, loc, bytes) in entries {
-                    put_u32(&mut p, app);
+                    put_u32(p, app);
                     p.push(class.idx() as u8);
                     p.push(loc.idx() as u8);
-                    put_u64(&mut p, bytes);
+                    put_u64(p, bytes);
                 }
-                put_u64(&mut p, r.verify_failures);
-                put_u64(&mut p, r.staged);
-                put_u64(&mut p, r.gets);
-                put_u32(&mut p, r.errors.len() as u32);
+                put_u64(p, r.verify_failures);
+                put_u64(p, r.staged);
+                put_u64(p, r.gets);
+                put_u32(p, r.errors.len() as u32);
                 for e in &r.errors {
-                    put_str(&mut p, e);
+                    put_str(p, e);
                 }
             }
             Frame::Shutdown { ok, reason } => {
                 p.push(*ok as u8);
-                put_str(&mut p, reason);
+                put_str(p, reason);
             }
             Frame::Submit {
                 name,
@@ -908,26 +931,26 @@ impl Frame {
                 get_timeout_ms,
                 priority,
             } => {
-                put_str(&mut p, name);
-                put_str(&mut p, dag);
-                put_str(&mut p, config);
-                put_str(&mut p, strategy);
-                put_u64(&mut p, *get_timeout_ms);
-                put_u32(&mut p, *priority);
+                put_str(p, name);
+                put_str(p, dag);
+                put_str(p, config);
+                put_str(p, strategy);
+                put_u64(p, *get_timeout_ms);
+                put_u32(p, *priority);
             }
             Frame::Submitted { run, queued_ahead } => {
-                put_u64(&mut p, *run);
-                put_u32(&mut p, *queued_ahead);
+                put_u64(p, *run);
+                put_u32(p, *queued_ahead);
             }
             Frame::Cancel { run } | Frame::Status { run } | Frame::RunResult { run } => {
-                put_u64(&mut p, *run);
+                put_u64(p, *run);
             }
             Frame::ListRuns => {}
-            Frame::RunStatus(s) => put_run_summary(&mut p, s),
+            Frame::RunStatus(s) => put_run_summary(p, s),
             Frame::RunList { runs } => {
-                put_u32(&mut p, runs.len() as u32);
+                put_u32(p, runs.len() as u32);
                 for s in runs {
-                    put_run_summary(&mut p, s);
+                    put_run_summary(p, s);
                 }
             }
             Frame::RunReport {
@@ -938,17 +961,17 @@ impl Frame {
                 profile_json,
                 errors,
             } => {
-                put_u64(&mut p, *run);
+                put_u64(p, *run);
                 p.push(state.idx());
-                put_str(&mut p, ledger_json);
-                put_str(&mut p, metrics_json);
-                put_str(&mut p, profile_json);
-                put_u32(&mut p, errors.len() as u32);
+                put_str(p, ledger_json);
+                put_str(p, metrics_json);
+                put_str(p, profile_json);
+                put_u32(p, errors.len() as u32);
                 for e in errors {
-                    put_str(&mut p, e);
+                    put_str(p, e);
                 }
             }
-            Frame::RpcErr { message } => put_str(&mut p, message),
+            Frame::RpcErr { message } => put_str(p, message),
             Frame::Telemetry {
                 node,
                 batch,
@@ -958,32 +981,32 @@ impl Frame {
                 counters,
                 events,
             } => {
-                put_u32(&mut p, *node);
-                put_u32(&mut p, *batch);
+                put_u32(p, *node);
+                put_u32(p, *batch);
                 p.push(*last as u8);
-                put_u64(&mut p, *dropped_events);
-                put_u64(&mut p, *dropped_spans);
-                put_u32(&mut p, counters.len() as u32);
+                put_u64(p, *dropped_events);
+                put_u64(p, *dropped_spans);
+                put_u32(p, counters.len() as u32);
                 for (name, value) in counters {
-                    put_str(&mut p, name);
-                    put_u64(&mut p, *value);
+                    put_str(p, name);
+                    put_u64(p, *value);
                 }
-                put_u32(&mut p, events.len() as u32);
+                put_u32(p, events.len() as u32);
                 for e in events {
-                    put_event(&mut p, e);
+                    put_event(p, e);
                 }
             }
             Frame::TelemetryAck { node, batch } => {
-                put_u32(&mut p, *node);
-                put_u32(&mut p, *batch);
+                put_u32(p, *node);
+                put_u32(p, *batch);
             }
             Frame::Watch {
                 run,
                 interval_ms,
                 once,
             } => {
-                put_u64(&mut p, *run);
-                put_u64(&mut p, *interval_ms);
+                put_u64(p, *run);
+                put_u64(p, *interval_ms);
                 p.push(*once as u8);
             }
             Frame::Progress {
@@ -1007,25 +1030,25 @@ impl Frame {
                 link_stalls,
                 health,
             } => {
-                put_u64(&mut p, *run);
+                put_u64(p, *run);
                 p.push(state.idx());
                 p.push(*done as u8);
-                put_u32(&mut p, *wave);
-                put_u32(&mut p, *waves);
-                put_u64(&mut p, *pulls);
-                put_u64(&mut p, *pull_bytes);
-                put_u64(&mut p, *shm_wait_p50_us);
-                put_u64(&mut p, *shm_wait_p99_us);
-                put_u64(&mut p, *rdma_wait_p50_us);
-                put_u64(&mut p, *rdma_wait_p99_us);
-                put_u64(&mut p, *pulls_in_flight);
-                put_u64(&mut p, *bytes_in_flight);
-                put_u64(&mut p, *queue_depth);
-                put_u64(&mut p, *sub_active);
-                put_u64(&mut p, *sub_pushes);
-                put_u64(&mut p, *sub_lagged);
-                put_u64(&mut p, *link_stalls);
-                put_strs(&mut p, health);
+                put_u32(p, *wave);
+                put_u32(p, *waves);
+                put_u64(p, *pulls);
+                put_u64(p, *pull_bytes);
+                put_u64(p, *shm_wait_p50_us);
+                put_u64(p, *shm_wait_p99_us);
+                put_u64(p, *rdma_wait_p50_us);
+                put_u64(p, *rdma_wait_p99_us);
+                put_u64(p, *pulls_in_flight);
+                put_u64(p, *bytes_in_flight);
+                put_u64(p, *queue_depth);
+                put_u64(p, *sub_active);
+                put_u64(p, *sub_pushes);
+                put_u64(p, *sub_lagged);
+                put_u64(p, *link_stalls);
+                put_strs(p, health);
             }
             Frame::ShmOffer {
                 src_node,
@@ -1035,12 +1058,12 @@ impl Frame {
                 slots,
                 arena_bytes,
             } => {
-                put_u32(&mut p, *src_node);
-                put_u32(&mut p, *dst_node);
-                put_u64(&mut p, *segment);
-                put_str(&mut p, path);
-                put_u64(&mut p, *slots);
-                put_u64(&mut p, *arena_bytes);
+                put_u32(p, *src_node);
+                put_u32(p, *dst_node);
+                put_u64(p, *segment);
+                put_str(p, path);
+                put_u64(p, *slots);
+                put_u64(p, *arena_bytes);
             }
             Frame::ShmAck {
                 src_node,
@@ -1049,10 +1072,10 @@ impl Frame {
                 seq,
                 attached,
             } => {
-                put_u32(&mut p, *src_node);
-                put_u32(&mut p, *dst_node);
-                put_u64(&mut p, *segment);
-                put_u64(&mut p, *seq);
+                put_u32(p, *src_node);
+                put_u32(p, *dst_node);
+                put_u64(p, *segment);
+                put_u64(p, *seq);
                 p.push(*attached as u8);
             }
             Frame::ShmDoorbell {
@@ -1061,10 +1084,10 @@ impl Frame {
                 segment,
                 seq,
             } => {
-                put_u32(&mut p, *src_node);
-                put_u32(&mut p, *dst_node);
-                put_u64(&mut p, *segment);
-                put_u64(&mut p, *seq);
+                put_u32(p, *src_node);
+                put_u32(p, *dst_node);
+                put_u64(p, *segment);
+                put_u64(p, *seq);
             }
             Frame::Subscribe {
                 sub_id,
@@ -1074,16 +1097,16 @@ impl Frame {
                 lbs,
                 ubs,
             } => {
-                put_u64(&mut p, *sub_id);
-                put_u64(&mut p, *var);
-                put_u64(&mut p, *every_k);
-                put_u32(&mut p, *subscriber);
-                put_u64s(&mut p, lbs);
-                put_u64s(&mut p, ubs);
+                put_u64(p, *sub_id);
+                put_u64(p, *var);
+                put_u64(p, *every_k);
+                put_u32(p, *subscriber);
+                put_u64s(p, lbs);
+                put_u64s(p, ubs);
             }
             Frame::SubAck { sub_id, to_node } => {
-                put_u64(&mut p, *sub_id);
-                put_u32(&mut p, *to_node);
+                put_u64(p, *sub_id);
+                put_u32(p, *to_node);
             }
             Frame::SubPush {
                 sub_id,
@@ -1095,32 +1118,28 @@ impl Frame {
                 ubs,
                 data,
             } => {
-                put_u64(&mut p, *sub_id);
-                put_u64(&mut p, *var);
-                put_u64(&mut p, *version);
-                put_u32(&mut p, *src);
-                put_u32(&mut p, *subscriber);
-                put_u64s(&mut p, lbs);
-                put_u64s(&mut p, ubs);
-                put_bytes(&mut p, data);
+                put_u64(p, *sub_id);
+                put_u64(p, *var);
+                put_u64(p, *version);
+                put_u32(p, *src);
+                put_u32(p, *subscriber);
+                put_u64s(p, lbs);
+                put_u64s(p, ubs);
+                put_bytes(p, data);
             }
-            Frame::SubCancel { sub_id } => put_u64(&mut p, *sub_id),
+            Frame::SubCancel { sub_id } => put_u64(p, *sub_id),
             Frame::SubLagged {
                 sub_id,
                 version,
                 subscriber,
             } => {
-                put_u64(&mut p, *sub_id);
-                put_u64(&mut p, *version);
-                put_u32(&mut p, *subscriber);
+                put_u64(p, *sub_id);
+                put_u64(p, *version);
+                put_u32(p, *subscriber);
             }
         }
-        let mut out = Vec::with_capacity(6 + p.len());
-        put_u32(&mut out, 2 + p.len() as u32);
-        out.push(WIRE_VERSION);
-        out.push(self.kind());
-        out.extend_from_slice(&p);
-        out
+        let len = (p.len() - start - 4) as u32;
+        p[start..start + 4].copy_from_slice(&len.to_le_bytes());
     }
 
     /// Decode one frame body (`version`, `kind` and `payload` — the
@@ -1464,6 +1483,20 @@ impl Frame {
     }
 }
 
+/// Explain why `got`, received from `peer`, is not the awaited `wanted`
+/// frame. A peer that answered with [`Frame::RpcErr`] said why it
+/// refused, so its message is the reason; any other frame is named by
+/// its kind byte.
+pub fn unexpected_reply(wanted: &str, peer: &str, got: &Frame) -> String {
+    match got {
+        Frame::RpcErr { message } => format!("{peer} refused (expected {wanted}): {message}"),
+        other => format!(
+            "expected {wanted} from {peer}, got frame kind {}",
+            other.kind()
+        ),
+    }
+}
+
 /// Encode a batch of frames into one contiguous byte run (each frame
 /// complete with its own length word). This is the reactor's small-
 /// message coalescing primitive: a batch crosses the socket in one
@@ -1473,7 +1506,7 @@ impl Frame {
 pub fn encode_batch(frames: &[Frame]) -> Vec<u8> {
     let mut out = Vec::new();
     for f in frames {
-        out.extend_from_slice(&f.encode());
+        f.encode_into(&mut out);
     }
     out
 }
@@ -2202,6 +2235,41 @@ mod tests {
                 assert_eq!(Frame::read_from(&mut cursor).unwrap(), frame);
             }
         });
+    }
+
+    #[test]
+    fn encode_into_appends_one_complete_frame_and_keeps_the_prefix() {
+        forall(32, |rng| {
+            let mut buf: Vec<u8> = (0..rng.range_usize(0, 9)).map(|i| i as u8).collect();
+            let prefix = buf.clone();
+            for frame in arb_frames(rng) {
+                let start = buf.len();
+                frame.encode_into(&mut buf);
+                let len = u32::from_le_bytes(buf[start..start + 4].try_into().unwrap());
+                assert_eq!(len as usize, buf.len() - start - 4, "kind {}", frame.kind());
+                assert_eq!(&buf[start..], &frame.encode()[..]);
+            }
+            assert_eq!(&buf[..prefix.len()], &prefix[..]);
+        });
+    }
+
+    #[test]
+    fn unexpected_reply_decodes_refusals_and_names_the_peer() {
+        let refusal = Frame::RpcErr {
+            message: "frame kind 1 is not a service RPC".into(),
+        };
+        let msg = unexpected_reply("Welcome", "10.0.0.7:4000", &refusal);
+        assert!(msg.contains("10.0.0.7:4000"), "{msg}");
+        assert!(msg.contains("not a service RPC"), "{msg}");
+        assert!(!msg.contains("frame kind 24"), "{msg}");
+        let msg = unexpected_reply("Welcome", "10.0.0.7:4000", &Frame::ListRuns);
+        assert_eq!(
+            msg,
+            format!(
+                "expected Welcome from 10.0.0.7:4000, got frame kind {}",
+                KIND_LIST_RUNS
+            )
+        );
     }
 
     #[test]

@@ -68,8 +68,8 @@ pub use conn::{
     connect_with_retry, recv_frame, send_frame, NetError, NetMetrics, Peer, PeerHandle,
 };
 pub use frame::{
-    encode_batch, Frame, FrameDecoder, FrameError, NodeReport, RunState, RunSummary,
-    KIND_TELEMETRY, MAX_FRAME_LEN, WIRE_VERSION,
+    encode_batch, unexpected_reply, Frame, FrameDecoder, FrameError, NodeReport, RunState,
+    RunSummary, KIND_TELEMETRY, MAX_FRAME_LEN, WIRE_VERSION,
 };
 pub use hub::{Hub, HubConfig};
 pub use link::{Ctl, NetLink};

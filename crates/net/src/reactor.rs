@@ -290,7 +290,7 @@ fn run_loop(
                     if frame.is_data_plane() {
                         metrics.pull_p2p.inc();
                     }
-                    conn.out.extend_from_slice(&frame.encode());
+                    frame.encode_into(&mut conn.out);
                     metrics.frames.inc();
                 }
                 Cmd::Close(token) => {
@@ -441,8 +441,12 @@ fn flush(conn: &mut Conn, metrics: &NetMetrics) -> std::io::Result<()> {
     if conn.out_pos == conn.out.len() {
         conn.out.clear();
         conn.out_pos = 0;
-    } else if conn.out_pos > 64 * 1024 {
-        // Reclaim the written prefix of a large half-flushed buffer.
+    } else if conn.out_pos >= conn.out.len() / 2 {
+        // Reclaim the written prefix only once it is at least half the
+        // buffer: the tail moved is then no longer than the bytes
+        // written since the last compaction, so compaction stays linear
+        // in bytes sent (compacting after every partial write would
+        // move a multi-MiB unsent tail once per write).
         conn.out.drain(..conn.out_pos);
         conn.out_pos = 0;
     }
@@ -593,6 +597,61 @@ mod tests {
         }
         assert_eq!(m.bytes_sent.get(), total);
         assert_eq!(m.frames.get(), 100);
+    }
+
+    /// Frames far larger than the socket buffer, interleaved with small
+    /// control frames, reach a slow reader intact and in order: every
+    /// partial write leaves a multi-MiB staged tail behind.
+    #[test]
+    fn large_frames_reach_a_slow_reader_intact_and_in_order() {
+        let r = Reactor::spawn("x", FaultInjector::none(), metrics()).unwrap();
+        let (sa, mut sb) = pair();
+        let (sink, _rx) = chan_sink();
+        let t = r.handle().alloc_token();
+        r.handle().add_stream(t, sa, sink);
+        let frames: Vec<Frame> = [3usize << 20, 5 << 20, 4 << 20]
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &len)| {
+                let data = (0..len).map(|b| (b * 31 + i * 7) as u8).collect();
+                [
+                    Frame::PullData {
+                        name: i as u64,
+                        version: 1,
+                        piece: 2,
+                        owner: 3,
+                        to_node: 4,
+                        data,
+                    },
+                    Frame::RunWave { wave: i as u32 },
+                ]
+            })
+            .collect();
+        for f in &frames {
+            r.handle().send(t, f.clone());
+        }
+        sb.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut decoder = FrameDecoder::new();
+        let mut chunk = vec![0u8; 256 * 1024];
+        for f in &frames {
+            let got = loop {
+                if let Some(got) = decoder.next_frame().unwrap() {
+                    break got;
+                }
+                // A slow reader: small reads with pauses keep the
+                // sender's socket buffer full.
+                std::thread::sleep(Duration::from_millis(1));
+                let n = sb.read(&mut chunk).unwrap();
+                assert!(n > 0, "stream ended early");
+                decoder.push(&chunk[..n]);
+            };
+            assert!(
+                &got == f,
+                "frame kind {} arrived out of order or corrupt",
+                got.kind()
+            );
+        }
+        assert_eq!(decoder.pending(), 0);
     }
 
     #[test]

@@ -299,11 +299,24 @@ impl SubSink {
     }
 
     /// Offer the fragment `frag_box` (the producer-piece ∩ query overlap)
-    /// of `version`. Copies the cells into the region-shaped assembly;
+    /// of `version`, already cut out into its own dense array `frag`.
+    pub fn offer(&self, version: u64, frag_box: &BoundingBox, frag: &[f64]) -> OfferOutcome {
+        self.offer_from(version, frag, frag_box, frag_box)
+    }
+
+    /// Offer the cells of `overlap` (the producer-piece ∩ query overlap)
+    /// of `version`, copied straight out of `src`, the dense array of
+    /// `src_box`. Copies the cells into the region-shaped assembly;
     /// when every cell of the region has landed the version moves to the
     /// ready queue. Fragments never overlap (producer pieces tile the
     /// domain disjointly), so completeness is exactly cell-count coverage.
-    pub fn offer(&self, version: u64, frag_box: &BoundingBox, frag: &[f64]) -> OfferOutcome {
+    pub fn offer_from(
+        &self,
+        version: u64,
+        src: &[f64],
+        src_box: &BoundingBox,
+        overlap: &BoundingBox,
+    ) -> OfferOutcome {
         let mut state = self.state.lock().unwrap();
         if state.closed
             || state.ready.contains_key(&version)
@@ -316,8 +329,8 @@ impl SubSink {
             data: vec![0.0; total as usize],
             filled: 0,
         });
-        layout::copy_region(frag, frag_box, &mut partial.data, &self.region, frag_box);
-        partial.filled += frag_box.num_cells();
+        layout::copy_region(src, src_box, &mut partial.data, &self.region, overlap);
+        partial.filled += overlap.num_cells();
         if partial.filled < total {
             return OfferOutcome::Absorbed;
         }

@@ -2,7 +2,8 @@
 
 use insitu_fabric::FaultInjector;
 use insitu_net::{
-    connect_with_retry, recv_frame, send_frame, Frame, NetMetrics, RunState, RunSummary,
+    connect_with_retry, recv_frame, send_frame, unexpected_reply, Frame, NetMetrics, RunState,
+    RunSummary,
 };
 use insitu_telemetry::Recorder;
 use std::net::TcpStream;
@@ -25,7 +26,7 @@ pub struct RunArtifacts {
 
 /// One connection to a workflow service. Every call sends a single
 /// request frame and blocks for the single reply frame; an `RpcErr`
-/// reply becomes an `Err` with the service's message.
+/// reply becomes an `Err` naming the service and carrying its message.
 pub struct RpcClient {
     /// The service address this client connected to, named in errors.
     addr: String,
@@ -55,11 +56,8 @@ impl RpcClient {
     fn call(&mut self, request: &Frame) -> Result<Frame, String> {
         send_frame(&mut self.stream, request, &self.injector, &self.metrics)
             .map_err(|e| format!("sending request to {}: {e}", self.addr))?;
-        match recv_frame(&mut self.stream, &self.injector, &self.metrics) {
-            Ok(Frame::RpcErr { message }) => Err(message),
-            Ok(reply) => Ok(reply),
-            Err(e) => Err(format!("awaiting reply from {}: {e}", self.addr)),
-        }
+        recv_frame(&mut self.stream, &self.injector, &self.metrics)
+            .map_err(|e| format!("awaiting reply from {}: {e}", self.addr))
     }
 
     /// Submit a workflow at the default (lowest) priority; returns
@@ -96,7 +94,7 @@ impl RpcClient {
             priority,
         })? {
             Frame::Submitted { run, queued_ahead } => Ok((run, queued_ahead)),
-            other => Err(unexpected("Submitted", &other)),
+            other => Err(unexpected_reply("Submitted", &self.addr, &other)),
         }
     }
 
@@ -106,7 +104,7 @@ impl RpcClient {
     pub fn cancel(&mut self, run: u64) -> Result<RunSummary, String> {
         match self.call(&Frame::Cancel { run })? {
             Frame::RunStatus(s) => Ok(s),
-            other => Err(unexpected("RunStatus", &other)),
+            other => Err(unexpected_reply("RunStatus", &self.addr, &other)),
         }
     }
 
@@ -114,7 +112,7 @@ impl RpcClient {
     pub fn status(&mut self, run: u64) -> Result<RunSummary, String> {
         match self.call(&Frame::Status { run })? {
             Frame::RunStatus(s) => Ok(s),
-            other => Err(unexpected("RunStatus", &other)),
+            other => Err(unexpected_reply("RunStatus", &self.addr, &other)),
         }
     }
 
@@ -122,7 +120,7 @@ impl RpcClient {
     pub fn list(&mut self) -> Result<Vec<RunSummary>, String> {
         match self.call(&Frame::ListRuns)? {
             Frame::RunList { runs } => Ok(runs),
-            other => Err(unexpected("RunList", &other)),
+            other => Err(unexpected_reply("RunList", &self.addr, &other)),
         }
     }
 
@@ -143,7 +141,7 @@ impl RpcClient {
                 profile_json,
                 errors,
             }),
-            other => Err(unexpected("RunReport", &other)),
+            other => Err(unexpected_reply("RunReport", &self.addr, &other)),
         }
     }
 
@@ -165,11 +163,10 @@ impl RpcClient {
             once,
         };
         send_frame(&mut self.stream, &request, &self.injector, &self.metrics)
-            .map_err(|e| format!("sending watch: {e}"))?;
+            .map_err(|e| format!("sending watch to {}: {e}", self.addr))?;
         let mut frames = 0u64;
         loop {
             match recv_frame(&mut self.stream, &self.injector, &self.metrics) {
-                Ok(Frame::RpcErr { message }) => return Err(message),
                 Ok(frame @ Frame::Progress { .. }) => {
                     frames += 1;
                     let done = matches!(frame, Frame::Progress { done: true, .. });
@@ -178,8 +175,8 @@ impl RpcClient {
                         return Ok(frames);
                     }
                 }
-                Ok(other) => return Err(unexpected("Progress", &other)),
-                Err(e) => return Err(format!("awaiting progress: {e}")),
+                Ok(other) => return Err(unexpected_reply("Progress", &self.addr, &other)),
+                Err(e) => return Err(format!("awaiting progress from {}: {e}", self.addr)),
             }
         }
     }
@@ -201,6 +198,41 @@ impl RpcClient {
     }
 }
 
-fn unexpected(wanted: &str, got: &Frame) -> String {
-    format!("expected {wanted}, got frame kind {}", got.kind())
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A fake service that answers each request on one connection with
+    /// the next canned reply.
+    fn fake_service(replies: Vec<Frame>) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            for reply in replies {
+                Frame::read_from(&mut stream).unwrap();
+                reply.write_to(&mut stream).unwrap();
+            }
+        });
+        (addr, server)
+    }
+
+    #[test]
+    fn replies_that_are_not_the_awaited_frame_name_the_service() {
+        let (addr, server) = fake_service(vec![
+            Frame::RpcErr {
+                message: "unknown run 7".into(),
+            },
+            Frame::RunWave { wave: 3 },
+        ]);
+        let mut client = RpcClient::connect(&addr, Duration::from_secs(10)).unwrap();
+        let err = client.status(7).unwrap_err();
+        assert!(err.contains(&addr), "{err}");
+        assert!(err.contains("unknown run 7"), "{err}");
+        let err = client.list().unwrap_err();
+        assert!(err.contains(&addr), "{err}");
+        assert!(err.contains("expected RunList"), "{err}");
+        server.join().unwrap();
+    }
 }

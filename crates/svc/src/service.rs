@@ -1209,6 +1209,22 @@ mod tests {
         svc.shutdown();
     }
 
+    /// A joiner pointed at a service port hears the service's refusal,
+    /// decoded, together with the address it dialled.
+    #[test]
+    fn join_at_a_service_port_reports_the_decoded_refusal() {
+        let (svc, _client) = start(SvcConfig::default());
+        let addr = svc.local_addr().to_string();
+        let opts = JoinOptions {
+            timeout: Duration::from_secs(10),
+            ..JoinOptions::default()
+        };
+        let err = join(&addr, 0, |d, c| (fixed_builder())(d, c), &opts).unwrap_err();
+        assert!(err.contains(&addr), "{err}");
+        assert!(err.contains("not a service RPC"), "{err}");
+        svc.shutdown();
+    }
+
     #[test]
     fn workflow_wider_than_the_pool_is_refused() {
         let (svc, mut client) = start(SvcConfig {

@@ -107,6 +107,16 @@ insitu launch workflows/distrib.dag --config target/distrib-large.cfg \
 grep -q "byte-identical to the single-process run" target/launch-shm-large-report.txt
 grep -Eq "^shm: +[1-9][0-9]* shared-memory frame event\(s\), 0 PullData through the hub, 0 fallback\(s\)" \
     target/launch-shm-large-report.txt
+# The same 4 MiB pieces over direct p2p TCP links with shm off: every
+# piece is one multi-MiB PullData frame staged in the reactor's write
+# buffer and flushed across many partial writes, so frame encode and
+# the reactor's flush path carry bulk traffic here.
+echo "==> distributed loopback smoke, p2p TCP data plane at 4 MiB pieces (--p2p --no-shm)"
+insitu launch workflows/distrib.dag --config target/distrib-large.cfg \
+    --procs 3 --p2p --no-shm | tee target/launch-p2p-large-report.txt
+grep -q "byte-identical to the single-process run" target/launch-p2p-large-report.txt
+grep -q "p2p:       0 PullData / 0 SubPush frames through the hub" \
+    target/launch-p2p-large-report.txt
 echo "==> distributed loopback smoke, shared memory disabled (--no-shm)"
 insitu launch workflows/distrib.dag --config workflows/distrib.cfg \
     --procs 3 --strategy round-robin --no-shm | tee target/launch-no-shm-report.txt
