@@ -442,9 +442,10 @@ COUPLING VAR t PRODUCER 1 CONSUMERS 2 MODE concurrent
 
     #[test]
     fn join_cmd_fails_fast_on_unreachable_address() {
+        // Hold 127.0.0.1:P for the whole test: 127.0.0.2:P refuses every
+        // connection, and no concurrent test can take P while it is held.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        drop(listener);
+        let addr = format!("127.0.0.2:{}", listener.local_addr().unwrap().port());
         let err = join_cmd(&JoinCmd {
             connect: addr.clone(),
             node: 0,

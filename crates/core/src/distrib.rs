@@ -812,9 +812,10 @@ mod tests {
 
     #[test]
     fn join_fails_fast_on_unreachable_server() {
+        // Hold 127.0.0.1:P for the whole test: 127.0.0.2:P refuses every
+        // connection, and no concurrent test can take P while it is held.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        drop(listener); // nothing listens here anymore
+        let addr = format!("127.0.0.2:{}", listener.local_addr().unwrap().port());
         let err = join(
             &addr,
             0,

@@ -284,10 +284,10 @@ fn reactor_soaks_64_connections_with_constant_threads() {
 
 #[test]
 fn join_exits_nonzero_fast_when_server_unreachable() {
-    // Bind-then-drop reserves an address nothing listens on.
+    // Hold 127.0.0.1:P for the whole test: 127.0.0.2:P refuses every
+    // connection, and no concurrent test can take P while it is held.
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    drop(listener);
+    let addr = format!("127.0.0.2:{}", listener.local_addr().unwrap().port());
     let out = insitu()
         .args([
             "join",

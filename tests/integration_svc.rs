@@ -267,9 +267,10 @@ fn submit_rejects_invalid_workflows_client_side() {
 
 #[test]
 fn cancel_against_dead_service_fails_cleanly() {
+    // Hold 127.0.0.1:P for the whole test: 127.0.0.2:P refuses every
+    // connection, and no concurrent test can take P while it is held.
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    drop(listener);
+    let addr = format!("127.0.0.2:{}", listener.local_addr().unwrap().port());
     let out = insitu()
         .args([
             "cancel",
