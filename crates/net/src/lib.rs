@@ -20,7 +20,11 @@
 //!   shared-memory control frames (`ShmOffer`/`ShmAck`/`ShmDoorbell`)
 //!   and the standing-query push plane (`Subscribe`/`SubAck`,
 //!   `SubPush`, `SubCancel`, `SubLagged`). Decoding rejects malformed
-//!   input, never panics.
+//!   input, never panics. The kinds are one declarative table that
+//!   generates the `Frame` enum and its codec from per-field `Wire`
+//!   impls; `tests/golden_frames.rs` pins each kind's bytes. Adding a
+//!   frame is one table line, one golden entry and a `WIRE_VERSION`
+//!   bump.
 //!   The shm control frames coordinate `insitu_util::shm` segments:
 //!   same-host pairs move `PullData` payloads through a
 //!   producer-created `/dev/shm` ring instead of the socket. The ring
@@ -63,6 +67,7 @@ pub mod hub;
 pub mod link;
 mod peers;
 pub mod reactor;
+mod wire;
 
 pub use conn::{
     connect_with_retry, recv_frame, send_frame, NetError, NetMetrics, Peer, PeerHandle,
