@@ -55,7 +55,6 @@ pub mod mapping;
 pub mod mapreduce;
 pub mod miniapp;
 pub mod modeled;
-pub mod pgas;
 pub mod scenario;
 pub mod threaded;
 
@@ -65,7 +64,6 @@ pub use mapping::{map_scenario, MappedScenario, MappingStrategy};
 pub use modeled::{
     run_modeled, run_modeled_configured, run_modeled_with, ModeledConfig, ModeledOutcome,
 };
-pub use pgas::GlobalArray;
 pub use scenario::{
     aligned_grid, balanced_grid, concurrent_scenario, concurrent_scenario_with_grids,
     pattern_pairs, sequential_scenario, sequential_scenario_with_grids, CouplingSpec, PatternPair,
