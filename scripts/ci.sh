@@ -24,6 +24,15 @@ if [[ $quick -eq 0 ]]; then
 fi
 run cargo test -q --workspace --offline
 
+# The repo benchmark (perfbench/, see BENCHMARK.json) is a Cargo
+# workspace of its own that reaches crates/* by path, so the steps
+# above never compile it. Build and test it here: an API change in
+# crates/* must not break the benchmark without failing CI.
+if [[ $quick -eq 0 ]]; then
+    run cargo build --release --offline --manifest-path perfbench/Cargo.toml
+fi
+run cargo test --offline --manifest-path perfbench/Cargo.toml
+
 # Chaos smoke: a bounded fuzz run under the standard fault mix, with a
 # pinned seed. Executed twice and diffed — the report must be bit-for-bit
 # replayable — and `insitu chaos` itself exits nonzero on any invariant
